@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <new>
 #include <span>
@@ -38,6 +39,7 @@
 #include "dependability/replicated_pdp.hpp"
 #include "net/fault.hpp"
 #include "obs/trace.hpp"
+#include "pep/pep.hpp"
 #include "report.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/snapshot.hpp"
@@ -575,6 +577,25 @@ BenchResult bench_pdp_mt(const Scale& s, std::size_t workers) {
 BenchResult bench_pdp_mt_1(const Scale& s) { return bench_pdp_mt(s, 1); }
 BenchResult bench_pdp_mt_8(const Scale& s) { return bench_pdp_mt(s, 8); }
 
+/// 512 requests over the `domains`-domain store, rejection-sampled to
+/// definitive (cacheable) decisions.
+std::vector<core::RequestContext> definitive_pool(
+    const Scale& s, const std::shared_ptr<core::PolicyStore>& store, int domains) {
+  common::Rng rng(4321);
+  std::vector<core::RequestContext> pool;
+  pool.reserve(512);
+  core::Pdp sampler(store);
+  for (int attempts = 0; pool.size() < 512 && attempts < 100'000; ++attempts) {
+    core::RequestContext req = random_domain_request(rng, domains, s.policies, s.roles);
+    const core::Decision d = sampler.evaluate(req);
+    if (d.is_permit() || d.is_deny()) pool.push_back(std::move(req));
+  }
+  while (pool.size() < 512) {
+    pool.push_back(random_domain_request(rng, domains, s.policies, s.roles));
+  }
+  return pool;
+}
+
 /// The PR-8 contention rows: the same engine workload with a decision
 /// cache attached, in both storage modes. Two-level rows serve the hot
 /// pool from per-worker L1s (zero synchronisation) backed by the shared
@@ -617,21 +638,7 @@ BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers,
   // engine only caches Permit/Deny, and a pool dominated by
   // NotApplicable would make these rows measure evaluation throughput
   // (already covered by pdp_mt_workers_*) instead of cache contention.
-  common::Rng rng(4321);
-  std::vector<core::RequestContext> pool;
-  pool.reserve(512);
-  {
-    core::Pdp sampler(store);
-    for (int attempts = 0; pool.size() < 512 && attempts < 100'000; ++attempts) {
-      core::RequestContext req =
-          random_domain_request(rng, kDomains, s.policies, s.roles);
-      const core::Decision d = sampler.evaluate(req);
-      if (d.is_permit() || d.is_deny()) pool.push_back(std::move(req));
-    }
-    while (pool.size() < 512) {
-      pool.push_back(random_domain_request(rng, kDomains, s.policies, s.roles));
-    }
-  }
+  const std::vector<core::RequestContext> pool = definitive_pool(s, store, kDomains);
 
   // Warmup doubles as the differential check AND the cache fill: the
   // first encounter of each request misses and caches; later encounters
@@ -737,6 +744,99 @@ BenchResult bench_pdp_mt_traced_off(const Scale& s) {
 BenchResult bench_pdp_mt_traced_sampled(const Scale& s) {
   return bench_pdp_mt_cached(s, 8, /*two_level=*/true, /*traced=*/true,
                              /*sample_every_n=*/1024, "pdp_mt_traced_sampled");
+}
+
+/// The PEP-over-engine row: `threads` threads, each enforcing through its
+/// own pep::EnforcementPoint over engine_decision_source on a warm
+/// two-level cache, so every decision is a caller-side L2 hit served on
+/// the PEP thread (cache_misses counts any that crossed to the worker).
+/// Throughput is aggregate over all threads; p50/p99 are per-enforce
+/// means of 64-op batches; allocs/op counts every allocation of the run.
+BenchResult bench_pep_engine_source_hit(const Scale& s, std::size_t threads,
+                                        const char* name) {
+  constexpr int kDomains = 8;
+  auto store = make_domain_policy_store(kDomains, s.policies, s.roles);
+  runtime::SnapshotPublisher publisher;
+  publisher.publish(store);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 8192});
+  runtime::DecisionEngine engine(publisher, runtime::EngineConfig{.workers = 1}, &cache);
+  const std::vector<core::RequestContext> pool = definitive_pool(s, store, kDomains);
+
+  // Warmup fills the cache; the second round is served from it and must
+  // still be bit-identical to the single-threaded Pdp.
+  std::uint64_t mismatches = 0;
+  {
+    core::Pdp reference(store);
+    const auto source = runtime::engine_decision_source(engine);
+    for (int round = 0; round < 2; ++round) {
+      for (const core::RequestContext& request : pool) {
+        if (!(source(request) == reference.evaluate(request))) ++mismatches;
+      }
+    }
+  }
+
+  constexpr std::uint64_t kBatch = 64;
+  const std::uint64_t per_thread = std::max<std::uint64_t>(kBatch, s.iterations / threads);
+  std::vector<std::vector<double>> samples(threads);
+  std::latch go(static_cast<std::ptrdiff_t>(threads) + 1);
+  engine.reset_metrics();
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      pep::EnforcementPoint pep(runtime::engine_decision_source(engine));
+      samples[t].reserve(per_thread / kBatch + 1);
+      go.arrive_and_wait();
+      for (std::uint64_t done = 0; done < per_thread; done += kBatch) {
+        const auto t0 = Clock::now();
+        for (std::uint64_t i = done; i < done + kBatch; ++i) {
+          benchmark_sink(pep.enforce(pool[(i + t * 131) % pool.size()]).decision);
+        }
+        samples[t].push_back(
+            static_cast<double>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+                    .count()) /
+            static_cast<double>(kBatch));
+      }
+    });
+  }
+  const std::uint64_t allocs_before = g_alloc_count.load();
+  const std::uint64_t bytes_before = g_alloc_bytes.load();
+  const auto t_start = Clock::now();
+  go.arrive_and_wait();
+  for (std::thread& w : workers) w.join();
+  const auto t_end = Clock::now();
+  const std::uint64_t allocs_after = g_alloc_count.load();
+  const std::uint64_t bytes_after = g_alloc_bytes.load();
+
+  const std::uint64_t total_ops =
+      (per_thread + kBatch - 1) / kBatch * kBatch * static_cast<std::uint64_t>(threads);
+  std::vector<double> merged;
+  for (const std::vector<double>& v : samples) merged.insert(merged.end(), v.begin(), v.end());
+  const runtime::EngineMetrics::Snapshot m = engine.metrics();
+  const double total_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start).count());
+  BenchResult r;
+  r.name = name;
+  r.iterations = total_ops;
+  r.ops_per_sec = total_ns > 0 ? 1e9 * static_cast<double>(total_ops) / total_ns : 0;
+  r.mean_ns = total_ns / static_cast<double>(total_ops);
+  r.p50_ns = percentile(merged, 0.50);
+  r.p90_ns = percentile(merged, 0.90);
+  r.p99_ns = percentile(merged, 0.99);
+  r.allocs_per_op =
+      static_cast<double>(allocs_after - allocs_before) / static_cast<double>(total_ops);
+  r.bytes_per_op =
+      static_cast<double>(bytes_after - bytes_before) / static_cast<double>(total_ops);
+  r.counters["threads"] = static_cast<double>(threads);
+  r.counters["l2_hits"] = static_cast<double>(m.l2_hits);
+  r.counters["cache_misses"] = static_cast<double>(m.cache_misses);
+  r.counters["worker_decisions"] = static_cast<double>(m.worker_ops[0]);
+  r.counters["l2_read_retries"] = static_cast<double>(m.l2_read_retries);
+  r.counters["hit_ratio"] =
+      m.decided > 0 ? static_cast<double>(m.cache_hits) / static_cast<double>(m.decided)
+                    : 0;
+  r.counters["differential_mismatches"] = static_cast<double>(mismatches);
+  return r;
 }
 
 /// Deliberate overload: a tiny queue bound, fire-and-forget callback
@@ -1161,6 +1261,15 @@ int run(int argc, char** argv) {
   }
   for (auto* bench : {&bench_pdp_mt_traced_off, &bench_pdp_mt_traced_sampled}) {
     BenchResult r = (*bench)(scale);
+    print_row(r);
+    report.add(std::move(r));
+  }
+  for (const auto& [name, threads] :
+       std::initializer_list<std::pair<const char*, std::size_t>>{
+           {"pep_engine_source_hit", 1},
+           {"pep_engine_source_hit_mt",
+            std::max<std::size_t>(1, std::thread::hardware_concurrency())}}) {
+    BenchResult r = bench_pep_engine_source_hit(scale, threads, name);
     print_row(r);
     report.add(std::move(r));
   }

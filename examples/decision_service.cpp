@@ -7,7 +7,8 @@
 //        v                                         bounded queue, shedding)
 //   audit log                                               ^
 //                                                           |
-//   PEP (EnforcementPoint) --submit via engine_decision_source
+//   PEP (EnforcementPoint) --engine_decision_source (DecisionEngine::decide:
+//                             cache hits on the PEP thread, misses to a worker)
 //
 // Run it to watch the same PEP traffic flow while the PAP republishes
 // policy mid-stream, and to see deterministic shedding once the queue

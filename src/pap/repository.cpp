@@ -392,8 +392,18 @@ bool PolicyRepository::attribute_allowed(const std::string& domain,
 std::size_t PolicyRepository::load_into(core::PolicyStore* store) const {
   std::size_t loaded = 0;
   for (const PolicyRecord* r : all_issued()) {
+    // The issue-time artifact owns a clone of the tree parsed from this
+    // very document: cloning it is much cheaper than re-parsing the XML,
+    // and keeps the attachment invariant (artifact compiled from a clone
+    // of the stored node). Only a record without an artifact is parsed.
+    if (auto artifact = compiled(r->policy_id)) {
+      core::PolicyNodePtr node = artifact->source().clone_node();
+      store->add(std::move(node), std::move(artifact));
+      ++loaded;
+      continue;
+    }
     try {
-      store->add(core::node_from_string(r->document), compiled(r->policy_id));
+      store->add(core::node_from_string(r->document));
       ++loaded;
     } catch (const std::exception&) {
       // An unparseable issued record cannot happen through submit(), but

@@ -45,7 +45,11 @@ struct Enforcement {
 /// consults the handler map without synchronisation — run one
 /// EnforcementPoint per thread, or serialise calls externally (the
 /// decision source behind it may itself be shared and thread-safe, e.g.
-/// runtime::engine_decision_source).
+/// runtime::engine_decision_source). That source wraps
+/// DecisionEngine::decide: the PEP's own thread probes the engine's
+/// shared cache (filled only by engine workers) at the current snapshot
+/// version and returns a hit without any handoff; a miss is evaluated
+/// by a worker while this thread blocks.
 class EnforcementPoint {
  public:
   /// The decision source: a local PDP call, a remote RPC, a cached

@@ -60,13 +60,41 @@ void EngineMetrics::record_batch(std::size_t worker, std::size_t batch_size) {
 }
 
 void EngineMetrics::record_decided(std::size_t worker, std::uint64_t latency_ns) {
-  decided_.fetch_add(1, std::memory_order_relaxed);
   workers_[worker]->ops.fetch_add(1, std::memory_order_relaxed);
-  // bit_width maps [2^(i-1), 2^i) to bucket i; 0 -> bucket 0.
-  const std::size_t bucket =
-      std::min<std::size_t>(std::bit_width(latency_ns), kLatencyBuckets - 1);
-  latency_histogram_[bucket].fetch_add(1, std::memory_order_relaxed);
+  record_decided_latency(latency_ns);
+}
+
+namespace {
+
+/// bit_width maps [2^(i-1), 2^i) to bucket i; 0 -> bucket 0.
+std::size_t latency_bucket(std::uint64_t latency_ns, std::size_t buckets) {
+  return std::min<std::size_t>(std::bit_width(latency_ns), buckets - 1);
+}
+
+}  // namespace
+
+void EngineMetrics::record_decided_latency(std::uint64_t latency_ns) {
+  decided_.fetch_add(1, std::memory_order_relaxed);
+  latency_histogram_[latency_bucket(latency_ns, kLatencyBuckets)].fetch_add(
+      1, std::memory_order_relaxed);
   latency_sum_ns_.fetch_add(latency_ns, std::memory_order_relaxed);
+}
+
+EngineMetrics::CallerCounters& EngineMetrics::caller_stripe() {
+  static std::atomic<std::size_t> next_stripe{0};
+  thread_local const std::size_t stripe =
+      next_stripe.fetch_add(1, std::memory_order_relaxed) % kCallerStripes;
+  return callers_[stripe];
+}
+
+void EngineMetrics::record_caller_hit(std::uint64_t latency_ns, std::uint64_t retries) {
+  CallerCounters& c = caller_stripe();
+  c.decided.fetch_add(1, std::memory_order_relaxed);
+  c.l2_hits.fetch_add(1, std::memory_order_relaxed);
+  if (retries != 0) c.l2_retries.fetch_add(retries, std::memory_order_relaxed);
+  c.latency_histogram[latency_bucket(latency_ns, kLatencyBuckets)].fetch_add(
+      1, std::memory_order_relaxed);
+  c.latency_sum_ns.fetch_add(latency_ns, std::memory_order_relaxed);
 }
 
 namespace {
@@ -97,6 +125,14 @@ void EngineMetrics::reset() {
     w->cache_misses.store(0, std::memory_order_relaxed);
     w->l2_retries.store(0, std::memory_order_relaxed);
   }
+  for (CallerCounters& c : callers_) {
+    c.submitted.store(0, std::memory_order_relaxed);
+    c.decided.store(0, std::memory_order_relaxed);
+    c.l2_hits.store(0, std::memory_order_relaxed);
+    c.l2_retries.store(0, std::memory_order_relaxed);
+    c.latency_sum_ns.store(0, std::memory_order_relaxed);
+    for (auto& bucket : c.latency_histogram) bucket.store(0, std::memory_order_relaxed);
+  }
   for (auto& bucket : latency_histogram_) bucket.store(0, std::memory_order_relaxed);
   latency_sum_ns_.store(0, std::memory_order_relaxed);
 }
@@ -125,6 +161,12 @@ EngineMetrics::Snapshot EngineMetrics::snapshot() const {
     s.cache_misses += w->cache_misses.load(std::memory_order_relaxed);
     s.l2_read_retries += w->l2_retries.load(std::memory_order_relaxed);
   }
+  for (const CallerCounters& c : callers_) {
+    s.submitted += c.submitted.load(std::memory_order_relaxed);
+    s.decided += c.decided.load(std::memory_order_relaxed);
+    s.l2_hits += c.l2_hits.load(std::memory_order_relaxed);
+    s.l2_read_retries += c.l2_retries.load(std::memory_order_relaxed);
+  }
   s.cache_hits = s.l1_hits + s.l2_hits;
   s.batches = batches;
   s.mean_batch_size =
@@ -134,10 +176,16 @@ EngineMetrics::Snapshot EngineMetrics::snapshot() const {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
     counts[i] = latency_histogram_[i].load(std::memory_order_relaxed);
+    for (const CallerCounters& c : callers_) {
+      counts[i] += c.latency_histogram[i].load(std::memory_order_relaxed);
+    }
     total += counts[i];
   }
   s.latency_buckets = counts;
   s.latency_sum_ns = latency_sum_ns_.load(std::memory_order_relaxed);
+  for (const CallerCounters& c : callers_) {
+    s.latency_sum_ns += c.latency_sum_ns.load(std::memory_order_relaxed);
+  }
   if (total > 0) {
     const auto percentile = [&](double q) {
       const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
@@ -210,11 +258,87 @@ void DecisionEngine::submit(core::RequestContext request, Callback callback) {
 void DecisionEngine::submit(core::RequestContext request, Callback callback,
                             common::Duration deadline_ms) {
   metrics_.record_submitted();
-
-  const auto now = SteadyClock::now();
   Job job;
   job.request = std::move(request);
   job.callback = std::move(callback);
+  admit(job, SteadyClock::now(), deadline_ms);
+  const CompletionStatus shed = enqueue(job);
+  if (shed != CompletionStatus::kDecided) {
+    // Deterministic admission control: the submitter learns immediately,
+    // on its own thread, that this request was refused.
+    invoke_callback(job.callback, shed_on_submit(job, shed));
+  }
+}
+
+EngineResult DecisionEngine::decide(const core::RequestContext& request) {
+  metrics_.record_caller_submitted();
+  Job job;  // the request is copied in only on a miss
+  admit(job, SteadyClock::now(), config_.default_deadline_ms);
+  if (stopping_.load(std::memory_order_acquire)) {
+    return shed_on_submit(job, CompletionStatus::kShutdown);
+  }
+  if (cache_ != nullptr) {
+    const std::uint64_t version = publisher_.current_version();
+    job.key = cache::fingerprint(request);
+    std::uint64_t retries = 0;
+    // Group 0: the caller has no worker, so it probes one fixed group;
+    // with several groups, hits are those filled by group 0's workers.
+    std::optional<core::Decision> hit =
+        version != 0 ? cache_->lookup(job.key, version, 0, &retries) : std::nullopt;
+    if (hit.has_value()) {
+      const auto latency = SteadyClock::now() - job.enqueued;
+      metrics_.record_caller_hit(
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count()),
+          retries);
+      if (job.trace != nullptr) {
+        if (obs::Span* s =
+                job.trace->record(obs::SpanKind::kCacheProbe, obs::monotonic_ns())) {
+          s->a = 2;  // L2, probed by the caller
+          s->b = retries;
+        }
+      }
+      EngineResult r;
+      r.decision = std::move(*hit);
+      r.snapshot_version = version;
+      r.cache_hit = true;
+      r.cache_level = 2;
+      r.trace_id = job.trace_id;
+      publish_trace(job, r, obs::Trace::kNoWorker);
+      return r;
+    }
+    metrics_.record_caller_retries(retries);
+  }
+  job.request = request;
+  Waiter waiter;
+  job.callback = [&waiter](EngineResult r) { waiter.complete(std::move(r)); };
+  const CompletionStatus shed = enqueue(job);
+  if (shed != CompletionStatus::kDecided) return shed_on_submit(job, shed);
+  return waiter.wait();
+}
+
+void DecisionEngine::Waiter::complete(EngineResult result) {
+  result_ = std::move(result);
+  state_.store(kReady, std::memory_order_release);
+  state_.notify_one();
+  // Last touch of the caller's frame: once released, it may return.
+  state_.store(kReleased, std::memory_order_release);
+}
+
+EngineResult DecisionEngine::Waiter::wait() {
+  std::uint32_t state = kPending;
+  while ((state = state_.load(std::memory_order_acquire)) != kReleased) {
+    if (state == kPending) {
+      state_.wait(kPending, std::memory_order_acquire);
+    } else {
+      std::this_thread::yield();  // completer is between notify and release
+    }
+  }
+  return std::move(result_);
+}
+
+void DecisionEngine::admit(Job& job, SteadyClock::time_point now,
+                           common::Duration deadline_ms) {
   job.enqueued = now;
   job.deadline = deadline_ms > 0 ? now + std::chrono::milliseconds(deadline_ms)
                                  : SteadyClock::time_point::max();
@@ -233,30 +357,26 @@ void DecisionEngine::submit(core::RequestContext request, Callback callback,
       job.trace->record(obs::SpanKind::kAdmission, job.trace->started_ns);
     }
   }
+}
 
-  CompletionStatus shed = CompletionStatus::kDecided;
+CompletionStatus DecisionEngine::enqueue(Job& job) {
   {
     std::lock_guard lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      shed = CompletionStatus::kShutdown;
-    } else if (queue_.size() >= config_.queue_capacity) {
-      shed = CompletionStatus::kShedQueueFull;
-    } else {
-      queue_.push_back(std::move(job));
-      metrics_.set_queue_depth(queue_.size());
-    }
-  }
-  if (shed != CompletionStatus::kDecided) {
-    // Deterministic admission control: the submitter learns immediately,
-    // on its own thread, that this request was refused.
-    metrics_.record_shed(shed);
-    EngineResult result = shed_result(shed);
-    result.trace_id = job.trace_id;
-    publish_trace(job, result, obs::Trace::kNoWorker);
-    invoke_callback(job.callback, std::move(result));
-    return;
+    if (stopping_.load(std::memory_order_relaxed)) return CompletionStatus::kShutdown;
+    if (queue_.size() >= config_.queue_capacity) return CompletionStatus::kShedQueueFull;
+    queue_.push_back(std::move(job));
+    metrics_.set_queue_depth(queue_.size());
   }
   ready_.notify_one();
+  return CompletionStatus::kDecided;
+}
+
+EngineResult DecisionEngine::shed_on_submit(Job& job, CompletionStatus cause) {
+  metrics_.record_shed(cause);
+  EngineResult result = shed_result(cause);
+  result.trace_id = job.trace_id;
+  publish_trace(job, result, obs::Trace::kNoWorker);
+  return result;
 }
 
 void DecisionEngine::shutdown(Drain drain) {
@@ -489,7 +609,8 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
       continue;
     }
     if (cache_ != nullptr && worker.snapshot != nullptr) {
-      const cache::RequestKey key = cache::fingerprint(job.request);
+      const cache::RequestKey key =
+          job.key == cache::RequestKey{} ? cache::fingerprint(job.request) : job.key;
       if (use_l1) {
         if (const core::Decision* hit = worker.l1.lookup(key, version)) {
           metrics_.record_l1_hit(index);
@@ -712,8 +833,7 @@ std::uint64_t DecisionEngine::register_metrics(obs::Registry& registry) const {
 std::function<core::Decision(const core::RequestContext&)> engine_decision_source(
     DecisionEngine& engine) {
   return [&engine](const core::RequestContext& request) {
-    std::future<EngineResult> f = engine.submit(request);
-    return std::move(f.get().decision);
+    return std::move(engine.decide(request).decision);
   };
 }
 

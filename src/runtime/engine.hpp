@@ -50,9 +50,25 @@
 // version any worker still serves), so long-running engines don't
 // accumulate unreachable entries.
 //
-// Completion callbacks run on a worker thread — except shed-on-submit
-// (queue full / shutdown), which completes on the submitting thread
-// before `submit` returns; that is what makes shedding deterministic.
+// Two ways in:
+//
+//   * `submit` (callback or future form) — every request crosses to a
+//     worker. Completion callbacks run on a worker thread — except
+//     shed-on-submit (queue full / shutdown), which completes on the
+//     submitting thread before `submit` returns; that is what makes
+//     shedding deterministic.
+//   * `decide` (blocking; what engine_decision_source wraps) — the
+//     caller fingerprints the request once and probes the shared cache
+//     on its own thread at the publisher's current version (placement
+//     group 0 when the cache has several). A hit returns at once, never
+//     touching the queue; only a miss is enqueued, carrying the
+//     fingerprint so the worker does not recompute it, and the caller
+//     blocks on a waiter on its own stack until a worker completes it.
+//     Workers remain the only writers of the cache: an entry under
+//     version v was filled by a worker that evaluated snapshot v, so a
+//     caller-side hit names exactly one published snapshot, and a
+//     decide() that starts after publish() returns probes the new
+//     version (revocation is visible no later than on the worker path).
 #pragma once
 
 #include <array>
@@ -202,6 +218,21 @@ class EngineMetrics {
   }
   void record_batch(std::size_t worker, std::size_t batch_size);
   void record_decided(std::size_t worker, std::uint64_t latency_ns);
+  /// decide()'s counters live in the calling thread's caller stripe (see
+  /// CallerCounters), never in a worker's block.
+  void record_caller_submitted() {
+    caller_stripe().submitted.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// A decide() served by the caller-side L2 probe: one decision, one L2
+  /// hit and a latency sample.
+  void record_caller_hit(std::uint64_t latency_ns, std::uint64_t retries);
+  /// Seqlock re-reads of a caller-side probe that missed (the miss
+  /// itself is counted by the worker that then probes and evaluates).
+  void record_caller_retries(std::uint64_t retries) {
+    if (retries != 0) {
+      caller_stripe().l2_retries.fetch_add(retries, std::memory_order_relaxed);
+    }
+  }
   void record_adoption() { adoptions_.fetch_add(1, std::memory_order_relaxed); }
   void set_queue_depth(std::size_t depth) {
     queue_depth_.store(depth, std::memory_order_relaxed);
@@ -218,6 +249,9 @@ class EngineMetrics {
 
  private:
   static constexpr std::size_t kLatencyBuckets = 64;
+  static constexpr std::size_t kCallerStripes = 8;
+
+  void record_decided_latency(std::uint64_t latency_ns);
 
   /// Padded per-worker counters so workers don't false-share a line.
   /// The cache counters live here too: in two-level mode the cache's
@@ -243,6 +277,22 @@ class EngineMetrics {
   std::atomic<std::uint64_t> adoptions_{0};
   std::atomic<std::size_t> queue_depth_{0};
   std::vector<std::unique_ptr<WorkerCounters>> workers_;
+
+  /// decide()'s caller-side counters, in padded blocks of their own (no
+  /// `worker` label in the scrape). A thread keeps one stripe for life,
+  /// so cache hits on different cores write no shared line; snapshot()
+  /// folds the stripes into the engine-wide totals and histogram.
+  struct alignas(64) CallerCounters {
+    std::atomic<std::uint64_t> submitted{0};
+    std::atomic<std::uint64_t> decided{0};
+    std::atomic<std::uint64_t> l2_hits{0};
+    std::atomic<std::uint64_t> l2_retries{0};
+    std::atomic<std::uint64_t> latency_sum_ns{0};
+    std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_histogram{};
+  };
+  CallerCounters& caller_stripe();
+  std::array<CallerCounters, kCallerStripes> callers_;
+
   /// Completion latency, log2 ns buckets (bucket i covers [2^(i-1), 2^i)).
   std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_histogram_{};
   std::atomic<std::uint64_t> latency_sum_ns_{0};
@@ -329,6 +379,19 @@ class DecisionEngine {
   void submit(core::RequestContext request, Callback callback,
               common::Duration deadline_ms);
 
+  /// Blocking decision with the config's default deadline. A stopping
+  /// engine answers the kShutdown shed (never a cached decision). With a
+  /// cache, the calling thread probes it at publisher.current_version()
+  /// — a lock-free seqlock read in two-level mode, a shard-locked read
+  /// in mutex-sharded mode, group 0 of a multi-group cache — and a hit
+  /// returns with that snapshot_version and cache_level 2. A miss is
+  /// queued like submit() (a full queue sheds it here, on the caller's
+  /// thread) and the call blocks until a worker completes it. A hit is
+  /// counted like a worker's L2 hit (submitted, decided, l2_hits, a
+  /// latency sample) and, when sampled, traced with worker =
+  /// obs::Trace::kNoWorker. Safe from any number of threads.
+  EngineResult decide(const core::RequestContext& request);
+
   /// Idempotent; safe to call concurrently with submissions (in-flight
   /// racers are either admitted and drained, or shed as kShutdown).
   void shutdown(Drain drain = Drain::kDrain);
@@ -362,9 +425,33 @@ class DecisionEngine {
  private:
   using SteadyClock = std::chrono::steady_clock;
 
+  /// Completion slot of a blocking decide(), on the caller's stack; its
+  /// job's callback captures only its address, which std::function
+  /// stores without allocating.
+  class Waiter {
+   public:
+    /// Completer side: writes the result, moves pending → ready,
+    /// notifies, and only then → released — the caller returns only once
+    /// it reads released, so this never touches a dead frame.
+    void complete(EngineResult result);
+    /// Caller side: blocks until complete() has released the slot.
+    EngineResult wait();
+
+   private:
+    static constexpr std::uint32_t kPending = 0;
+    static constexpr std::uint32_t kReady = 1;
+    static constexpr std::uint32_t kReleased = 2;
+    EngineResult result_;
+    std::atomic<std::uint32_t> state_{kPending};
+  };
+
   struct Job {
     core::RequestContext request;
     Callback callback;
+    /// Fingerprint from decide()'s caller-side probe, so the worker does
+    /// not recompute it; all-zero = not computed (submit()). A real
+    /// all-zero fingerprint is merely computed again.
+    cache::RequestKey key;
     SteadyClock::time_point enqueued;
     SteadyClock::time_point deadline;  // time_point::max() = none
     /// Trace id from tracer admission (0 = no tracer configured).
@@ -395,6 +482,15 @@ class DecisionEngine {
   };
 
   void worker_loop(std::size_t index);
+  /// Stamps admission time, deadline and (with a tracer) the trace id
+  /// and, for head-sampled requests, the span recorder.
+  void admit(Job& job, SteadyClock::time_point now, common::Duration deadline_ms);
+  /// Queues `job`, or returns the shed cause (queue full / stopping)
+  /// without touching it beyond the check.
+  CompletionStatus enqueue(Job& job);
+  /// Completes a shed-on-submit on the calling thread: counts the shed,
+  /// publishes the trace and returns the shed result.
+  EngineResult shed_on_submit(Job& job, CompletionStatus cause);
   /// Pops up to max_batch jobs into `worker.jobs`; false = exit.
   bool pop_batch(Worker& worker);
   /// Re-binds `worker` to the newest snapshot if it changed (the batch
@@ -447,10 +543,11 @@ class DecisionEngine {
   std::vector<std::thread> threads_;
 };
 
-/// A pep::EnforcementPoint::DecisionSource that submits through the
-/// engine and blocks for the result: the drop-in way to put an existing
-/// PEP behind the runtime. Sheds surface as Indeterminate{DP}, so the
-/// PEP's deny bias applies unchanged.
+/// A pep::EnforcementPoint::DecisionSource over DecisionEngine::decide:
+/// the drop-in way to put an existing PEP behind the runtime. Cache hits
+/// are served on the PEP's own thread; misses block until a worker
+/// evaluates them. Sheds surface as Indeterminate{DP}, so the PEP's
+/// deny bias applies unchanged.
 std::function<core::Decision(const core::RequestContext&)> engine_decision_source(
     DecisionEngine& engine);
 

@@ -9,6 +9,7 @@
 #include "pap/admin_guard.hpp"
 #include "pap/repository.hpp"
 #include "pap/syndication.hpp"
+#include "workload.hpp"
 
 namespace mdac::pap {
 namespace {
@@ -239,6 +240,74 @@ TEST(RepositoryTest, LoadIntoPdpStore) {
   EXPECT_EQ(repo.load_into(&store), 1u);
   EXPECT_NE(store.find("p1"), nullptr);
   EXPECT_EQ(store.find("p2"), nullptr);
+}
+
+/// The parse-based load: every issued document through node_from_string,
+/// with the issue-time artifact attached — the reference that
+/// load_into's clone of the artifact's source must reproduce.
+std::size_t parse_load(const PolicyRepository& repo, core::PolicyStore* store) {
+  std::size_t loaded = 0;
+  for (const PolicyRecord* r : repo.all_issued()) {
+    store->add(core::node_from_string(r->document), repo.compiled(r->policy_id));
+    ++loaded;
+  }
+  return loaded;
+}
+
+/// Issues every top-level node of `corpus`, then checks that load_into
+/// and parse_load build the same store: same ids in the same order, the
+/// same nodes (serialised), the same shared artifacts and the same
+/// decisions over `requests`.
+void expect_load_matches_parse(const core::PolicyStore& corpus,
+                               const std::vector<core::RequestContext>& requests) {
+  common::ManualClock clock;
+  PolicyRepository repo(clock);
+  for (const core::PolicyTreeNode* node : corpus.top_level()) {
+    ASSERT_TRUE(repo.submit(core::node_to_string(*node), "a"));
+    ASSERT_TRUE(repo.issue(node->id(), "a"));
+  }
+  auto cloned = std::make_shared<core::PolicyStore>();
+  auto parsed = std::make_shared<core::PolicyStore>();
+  ASSERT_EQ(repo.load_into(cloned.get()), corpus.size());
+  ASSERT_EQ(parse_load(repo, parsed.get()), corpus.size());
+
+  const auto cloned_nodes = cloned->top_level();
+  const auto parsed_nodes = parsed->top_level();
+  ASSERT_EQ(cloned_nodes.size(), parsed_nodes.size());
+  for (std::size_t i = 0; i < cloned_nodes.size(); ++i) {
+    const std::string& id = parsed_nodes[i]->id();
+    EXPECT_EQ(cloned_nodes[i]->id(), id);
+    EXPECT_EQ(core::node_to_string(*cloned_nodes[i]), core::node_to_string(*parsed_nodes[i]));
+    ASSERT_NE(cloned->compiled(id), nullptr) << id;
+    EXPECT_EQ(cloned->compiled(id).get(), parsed->compiled(id).get()) << id;
+  }
+
+  core::Pdp from_clone(cloned);
+  core::Pdp from_parse(parsed);
+  for (const core::RequestContext& request : requests) {
+    EXPECT_EQ(from_clone.evaluate(request), from_parse.evaluate(request));
+  }
+}
+
+TEST(RepositoryTest, LoadIntoClonesIssuedTreesLikeAParse) {
+  {
+    SCOPED_TRACE("flat federation");
+    common::Rng rng(11);
+    std::vector<core::RequestContext> requests;
+    for (int i = 0; i < 400; ++i) {
+      requests.push_back(bench::random_domain_request(rng, 8, 96, 3));
+    }
+    expect_load_matches_parse(*bench::make_domain_policy_store(8, 96), requests);
+  }
+  {
+    SCOPED_TRACE("set trees");
+    common::Rng rng(12);
+    std::vector<core::RequestContext> requests;
+    for (int i = 0; i < 400; ++i) {
+      requests.push_back(bench::random_set_tree_request(rng, 4, 3, 3));
+    }
+    expect_load_matches_parse(*bench::make_set_tree_store(4, 3, 4), requests);
+  }
 }
 
 // ---------------------------------------------------------------------

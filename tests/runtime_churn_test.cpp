@@ -510,5 +510,118 @@ TEST(RuntimeChurnTest, SampledTracesStayConsistentUnderRepublication) {
   EXPECT_EQ(tracer.ring_dropped_total(), 0u);
 }
 
+// ---------------------------------------------------------------------
+// Blocking decide() beside callback-form submit under republication:
+// exactly-once completion and exact accounting, race-checked in TSan.
+// ---------------------------------------------------------------------
+
+TEST(RuntimeChurnTest, DecideAndSubmitCompleteExactlyOnceWithExactAccounting) {
+  constexpr int kPublications = 40;
+  constexpr int kDeciders = 8;
+  constexpr int kSubmitters = 2;
+  constexpr int kCallsPerThread = 300;
+  constexpr int kHotKeys = 4;
+
+  SnapshotPublisher publisher;
+  ExpectedDecisions expected;
+  {
+    auto store = make_stamped_store(1);
+    core::Pdp oracle(store);
+    expected.record(1, oracle.evaluate(probe_request()));
+    publisher.publish(store);
+  }
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 4096});
+  EngineConfig config;
+  config.workers = 2;
+  config.queue_capacity = 4096;
+  config.max_batch = 8;
+  config.l1_capacity = 64;
+  DecisionEngine engine(publisher, config, &cache);
+
+  std::vector<core::RequestContext> hot;
+  for (int i = 0; i < kHotKeys; ++i) {
+    hot.push_back(core::RequestContext::make("user-" + std::to_string(i), "doc", "read"));
+  }
+
+  std::thread pap([&] {
+    for (int k = 2; k <= kPublications; ++k) {
+      auto store = make_stamped_store(k);
+      core::Pdp oracle(store);
+      expected.record(static_cast<std::uint64_t>(k), oracle.evaluate(probe_request()));
+      publisher.publish(store);
+      std::this_thread::yield();
+    }
+  });
+
+  // Every result lands in its own slot; completion counters catch a
+  // call completed twice (or never).
+  constexpr int kDecideCalls = kDeciders * kCallsPerThread;
+  constexpr int kSubmitCalls = kSubmitters * kCallsPerThread;
+  std::vector<EngineResult> decided(kDecideCalls);
+  std::vector<EngineResult> called_back(kSubmitCalls);
+  std::vector<std::atomic<int>> completions(kSubmitCalls);
+  std::atomic<int> callbacks_on_submitter{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kDeciders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        decided[t * kCallsPerThread + i] = engine.decide(hot[(t + i) % kHotKeys]);
+      }
+    });
+  }
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&, t] {
+      const std::thread::id submitter = std::this_thread::get_id();
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        const int slot = t * kCallsPerThread + i;
+        engine.submit(hot[(t + i) % kHotKeys], [&, slot, submitter](EngineResult r) {
+          if (r.decided() && std::this_thread::get_id() == submitter) {
+            callbacks_on_submitter.fetch_add(1, std::memory_order_relaxed);
+          }
+          called_back[slot] = std::move(r);
+          completions[slot].fetch_add(1, std::memory_order_acq_rel);
+        });
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  pap.join();
+  engine.shutdown();  // drains every admitted callback
+
+  for (int i = 0; i < kSubmitCalls; ++i) {
+    ASSERT_EQ(completions[i].load(std::memory_order_acquire), 1) << "submit " << i;
+  }
+  // Decided callbacks of callback-form submit run on a worker thread.
+  EXPECT_EQ(callbacks_on_submitter.load(), 0);
+
+  std::size_t decisions = 0;
+  std::size_t sheds = 0;
+  const auto check = [&](const EngineResult& r) {
+    if (!r.decided()) {
+      ++sheds;
+      return;
+    }
+    ++decisions;
+    const auto want = expected.find(r.snapshot_version);
+    ASSERT_TRUE(want.has_value()) << "decision from unpublished snapshot "
+                                  << r.snapshot_version;
+    ASSERT_EQ(r.decision, *want) << "cache level " << int{r.cache_level};
+  };
+  for (const EngineResult& r : decided) check(r);
+  for (const EngineResult& r : called_back) check(r);
+
+  const EngineMetrics::Snapshot m = engine.metrics();
+  EXPECT_EQ(m.submitted, static_cast<std::uint64_t>(kDecideCalls + kSubmitCalls));
+  EXPECT_EQ(m.decided + m.sheds(), m.submitted);
+  EXPECT_EQ(m.decided, decisions);
+  EXPECT_EQ(m.sheds(), sheds);
+  // A snapshot was published before the engine started and there are no
+  // deadlines, so every decided request reached exactly one counted
+  // cache probe: the caller's on a hit, the worker's otherwise.
+  EXPECT_EQ(m.l1_hits + m.l2_hits + m.cache_misses, m.decided);
+  EXPECT_GT(m.l2_hits, 0u);
+  EXPECT_GT(m.cache_misses, 0u);
+}
+
 }  // namespace
 }  // namespace mdac::runtime

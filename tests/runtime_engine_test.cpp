@@ -913,5 +913,230 @@ TEST(DecisionEngineTracingTest, UntracedEngineAssignsNoTraceIds) {
   EXPECT_EQ(result.trace_id, 0u);
 }
 
+// ---------------------------------------------------------------------
+// Blocking decide(): caller-side L2 probe, misses through the workers
+// ---------------------------------------------------------------------
+
+/// A store whose one policy permits everything under odd `k` and denies
+/// everything under even `k`: a decision served across a republication
+/// boundary shows as the wrong effect for the version it names.
+std::shared_ptr<core::PolicyStore> make_parity_store(int k) {
+  auto store = std::make_shared<core::PolicyStore>();
+  core::Policy p;
+  p.policy_id = "parity";
+  core::Rule r;
+  r.id = "by-parity";
+  r.effect = k % 2 == 1 ? core::Effect::kPermit : core::Effect::kDeny;
+  p.rules.push_back(std::move(r));
+  store->add(std::move(p));
+  return store;
+}
+
+core::DecisionType parity_effect(std::uint64_t version) {
+  return version % 2 == 1 ? core::DecisionType::kPermit : core::DecisionType::kDeny;
+}
+
+void expect_caller_side_hit_then_shutdown_shed(cache::DecisionCache& cache) {
+  SnapshotPublisher publisher;
+  publisher.publish(make_parity_store(1));
+  DecisionEngine engine(publisher, EngineConfig{.workers = 1}, &cache);
+
+  // The first decide misses and is evaluated by the worker, which fills
+  // the shared level; the repeat is served on this thread from L2.
+  const EngineResult miss = engine.decide(probe_request());
+  ASSERT_EQ(miss.status, CompletionStatus::kDecided);
+  EXPECT_TRUE(miss.decision.is_permit());
+  EXPECT_FALSE(miss.cache_hit);
+  const EngineResult hit = engine.decide(probe_request());
+  ASSERT_EQ(hit.status, CompletionStatus::kDecided);
+  EXPECT_EQ(hit.decision, miss.decision);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.cache_level, 2);
+  EXPECT_EQ(hit.snapshot_version, 1u);
+
+  // A caller-side hit counts like a worker hit, outside every worker's
+  // own counters.
+  const EngineMetrics::Snapshot m = engine.metrics();
+  EXPECT_EQ(m.submitted, 2u);
+  EXPECT_EQ(m.decided, 2u);
+  EXPECT_EQ(m.l2_hits, 1u);
+  EXPECT_EQ(m.cache_misses, 1u);
+  EXPECT_EQ(m.worker_ops, std::vector<std::uint64_t>{1});
+
+  // After shutdown the cached request is still refused: a stopping
+  // engine never answers from the cache.
+  engine.shutdown();
+  const EngineResult after = engine.decide(probe_request());
+  EXPECT_EQ(after.status, CompletionStatus::kShutdown);
+  EXPECT_TRUE(after.decision.is_indeterminate());
+  EXPECT_EQ(after.decision.status.message, kShutdownMessage);
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_EQ(engine.metrics().shed_shutdown, 1u);
+  EXPECT_EQ(engine.metrics().submitted, 3u);
+}
+
+TEST(DecisionEngineDecideTest, CallerSideHitThenShutdownShedTwoLevel) {
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 256});
+  expect_caller_side_hit_then_shutdown_shed(cache);
+}
+
+TEST(DecisionEngineDecideTest, CallerSideHitThenShutdownShedMutexSharded) {
+  common::WallClock clock;
+  cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/256);
+  expect_caller_side_hit_then_shutdown_shed(cache);
+}
+
+TEST(DecisionEngineDecideTest, WithoutACacheEveryDecideReachesAWorker) {
+  SnapshotPublisher publisher;
+  DecisionEngine engine(publisher, EngineConfig{.workers = 1});
+  // Before the first publish: the worker's fail-safe answer.
+  const EngineResult early = engine.decide(probe_request());
+  EXPECT_TRUE(early.decision.is_indeterminate());
+  EXPECT_EQ(early.decision.status.message, kNoSnapshotMessage);
+  publisher.publish(make_parity_store(1));
+  for (int i = 0; i < 3; ++i) {
+    const EngineResult r = engine.decide(probe_request());
+    EXPECT_TRUE(r.decision.is_permit());
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_EQ(r.snapshot_version, 1u);
+  }
+  engine.shutdown();
+  EXPECT_EQ(engine.metrics().worker_ops, std::vector<std::uint64_t>{4});
+}
+
+TEST(DecisionEngineDecideTest, NoDecisionOlderThanTheLastReturnedPublish) {
+  // Sequentially: once publish() has returned, decide() answers from the
+  // new version — its first call misses (nothing is cached under it yet)
+  // and the repeat hits the entry the worker just filled.
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 256});
+  SnapshotPublisher publisher;
+  DecisionEngine engine(publisher, EngineConfig{.workers = 2}, &cache);
+  for (int k = 1; k <= 12; ++k) {
+    publisher.publish(make_parity_store(k));
+    for (int i = 0; i < 3; ++i) {
+      const EngineResult r = engine.decide(probe_request());
+      ASSERT_EQ(r.status, CompletionStatus::kDecided);
+      EXPECT_EQ(r.snapshot_version, static_cast<std::uint64_t>(k));
+      EXPECT_EQ(r.decision.type, parity_effect(r.snapshot_version));
+      EXPECT_EQ(r.cache_hit, i > 0);
+    }
+  }
+
+  // Concurrently: a reader that saw version v published before calling
+  // must get a decision stamped v or newer, and the right one for it.
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> stale{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> calls{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t floor = publisher.current_version();
+        const EngineResult r = engine.decide(probe_request());
+        calls.fetch_add(1, std::memory_order_relaxed);
+        if (r.snapshot_version < floor) stale.fetch_add(1, std::memory_order_relaxed);
+        if (r.decision.type != parity_effect(r.snapshot_version)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int k = 13; k <= 60; ++k) {
+    publisher.publish(make_parity_store(k));
+    // Let the readers decide a few times under each version.
+    const std::uint64_t seen = calls.load(std::memory_order_relaxed);
+    while (calls.load(std::memory_order_relaxed) < seen + 4) std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(stale.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
+TEST(DecisionEngineDecideTest, FullQueueShedsAMissOnTheCallersThread) {
+  GateResolver gate;
+  SnapshotPublisher publisher;
+  publisher.publish(make_gated_store());
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 256});
+  EngineConfig config;
+  config.workers = 1;
+  config.queue_capacity = 2;
+  config.max_batch = 1;
+  config.resolver = &gate;
+  DecisionEngine engine(publisher, config, &cache);
+
+  // Wedge the worker, fill the queue to its bound...
+  auto wedged = engine.submit(probe_request());
+  gate.wait_until_blocked(1);
+  std::vector<std::future<EngineResult>> queued;
+  for (int i = 0; i < 2; ++i) queued.push_back(engine.submit(probe_request()));
+  ASSERT_EQ(engine.queue_depth(), 2u);
+
+  // ...then a decide() that misses the cache returns at once, on this
+  // thread, while the only worker is still wedged.
+  const EngineResult shed = engine.decide(probe_request());
+  EXPECT_EQ(shed.status, CompletionStatus::kShedQueueFull);
+  EXPECT_TRUE(shed.decision.is_indeterminate());
+  EXPECT_EQ(shed.decision.status.message, kShedQueueFullMessage);
+  EXPECT_EQ(engine.metrics().shed_queue_full, 1u);
+
+  gate.open();
+  EXPECT_TRUE(wedged.get().decision.is_permit());
+  for (auto& f : queued) EXPECT_TRUE(f.get().decision.is_permit());
+  engine.shutdown();
+  const EngineMetrics::Snapshot m = engine.metrics();
+  EXPECT_EQ(m.submitted, 4u);
+  EXPECT_EQ(m.decided + m.sheds(), m.submitted);
+}
+
+TEST(DecisionEngineDecideTest, SampledCallerSideHitPublishesItsTrace) {
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 256});
+  SnapshotPublisher publisher;
+  publisher.publish(make_parity_store(1));
+  obs::DecisionTracer tracer(obs::ObsConfig{.sample_every_n = 1});
+  EngineConfig config;
+  config.workers = 1;
+  config.tracer = &tracer;
+  DecisionEngine engine(publisher, config, &cache);
+
+  const EngineResult miss = engine.decide(probe_request());
+  const EngineResult hit = engine.decide(probe_request());
+  engine.shutdown();
+  ASSERT_EQ(hit.cache_level, 2);
+  ASSERT_NE(miss.trace_id, 0u);
+  ASSERT_NE(hit.trace_id, 0u);
+  EXPECT_NE(miss.trace_id, hit.trace_id);
+
+  // The miss is traced through the worker as for submit().
+  const auto miss_trace = tracer.find(miss.trace_id);
+  ASSERT_TRUE(miss_trace.has_value());
+  EXPECT_EQ(miss_trace->worker, 0u);
+  EXPECT_EQ(miss_trace->cache_level, 0);
+
+  // The hit never reached a worker: admission, the caller's L2 probe,
+  // outcome.
+  const auto trace = tracer.find(hit.trace_id);
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_EQ(trace->outcome, obs::TraceOutcome::kDecided);
+  EXPECT_FALSE(trace->anomaly);
+  EXPECT_EQ(trace->worker, obs::Trace::kNoWorker);
+  EXPECT_EQ(trace->cache_level, 2);
+  EXPECT_EQ(trace->snapshot_version, hit.snapshot_version);
+  EXPECT_EQ(trace->decision, core::DecisionType::kPermit);
+  std::vector<obs::SpanKind> kinds;
+  for (std::size_t i = 0; i < trace->span_count; ++i) {
+    kinds.push_back(trace->spans[i].kind);
+    if (trace->spans[i].kind == obs::SpanKind::kCacheProbe) {
+      EXPECT_EQ(trace->spans[i].a, 2u);
+    }
+  }
+  const std::vector<obs::SpanKind> expected = {obs::SpanKind::kAdmission,
+                                               obs::SpanKind::kCacheProbe,
+                                               obs::SpanKind::kOutcome};
+  EXPECT_EQ(kinds, expected);
+  EXPECT_GE(trace->finished_ns, trace->started_ns);
+}
+
 }  // namespace
 }  // namespace mdac::runtime
