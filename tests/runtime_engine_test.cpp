@@ -6,6 +6,7 @@
 // tests/runtime_churn_test.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <future>
@@ -731,6 +732,125 @@ TEST(DecisionEngineTest, MetricsExposeLatencyAndBatchShape) {
   EXPECT_GT(m.mean_batch_size, 0.0);
   EXPECT_EQ(m.queue_depth, 0u);
   EXPECT_EQ(m.queue_capacity, engine.queue_capacity());
+}
+
+// Drives EngineMetrics directly with known samples on two workers and
+// two caller threads, and pins every Snapshot field exactly — including
+// the log2 bucket-midpoint percentiles (1000 ns reads back as 768) —
+// then pins reset() to zero, caller-side counts and histogram included.
+TEST(EngineMetricsTest, RecordsFoldIntoAnExactSnapshotAndResetZeroesIt) {
+  EngineMetrics metrics(/*workers=*/2, /*queue_capacity=*/64);
+
+  for (int i = 0; i < 7; ++i) metrics.record_submitted();
+  metrics.record_batch(0, 3);
+  metrics.record_batch(0, 5);
+  metrics.record_batch(1, 2);
+  for (int i = 0; i < 55; ++i) metrics.record_decided(0, 1000);  // bucket 10
+  for (int i = 0; i < 34; ++i) metrics.record_decided(1, 3000);  // bucket 12
+  for (int i = 0; i < 3; ++i) metrics.record_l1_hit(0);
+  metrics.record_l2_hit(0, /*retries=*/2);
+  metrics.record_cache_miss(0, /*retries=*/1);
+  metrics.record_cache_miss(0, /*retries=*/1);
+  metrics.record_l2_hit(1, 0);
+  metrics.record_l2_hit(1, 0);
+  metrics.record_cache_miss(1, 0);
+  metrics.record_shed(CompletionStatus::kShedQueueFull);
+  metrics.record_shed(CompletionStatus::kShedQueueFull);
+  metrics.record_shed(CompletionStatus::kShedDeadline);
+  for (int i = 0; i < 3; ++i) metrics.record_shed(CompletionStatus::kShutdown);
+  metrics.record_shed(CompletionStatus::kDecided);  // not a shed: no-op
+  metrics.record_version_evictions(5);
+  metrics.record_version_evictions(7);
+  for (int i = 0; i < 4; ++i) metrics.record_adoption();
+  metrics.set_queue_depth(17);
+
+  std::thread caller_a([&metrics] {
+    for (int i = 0; i < 9; ++i) {
+      metrics.record_caller_submitted();
+      metrics.record_caller_hit(100000, i == 0 ? 3 : 0);  // bucket 17
+    }
+    metrics.record_caller_retries(4);
+    metrics.record_caller_retries(0);
+  });
+  std::thread caller_b([&metrics] {
+    for (int i = 0; i < 3; ++i) metrics.record_caller_submitted();
+    metrics.record_caller_hit(5000000, 0);  // bucket 23
+    metrics.record_caller_hit(5000000, 0);
+  });
+  caller_a.join();
+  caller_b.join();
+
+  const EngineMetrics::Snapshot m = metrics.snapshot();
+  EXPECT_EQ(m.submitted, 19u);
+  EXPECT_EQ(m.decided, 100u);
+  EXPECT_EQ(m.l1_hits, 3u);
+  EXPECT_EQ(m.l2_hits, 14u);
+  EXPECT_EQ(m.cache_hits, 17u);
+  EXPECT_EQ(m.cache_misses, 3u);
+  EXPECT_EQ(m.l2_read_retries, 11u);
+  EXPECT_EQ(m.version_evictions, 12u);
+  EXPECT_EQ(m.shed_queue_full, 2u);
+  EXPECT_EQ(m.shed_deadline, 1u);
+  EXPECT_EQ(m.shed_shutdown, 3u);
+  EXPECT_EQ(m.sheds(), 6u);
+  EXPECT_DOUBLE_EQ(m.shed_rate(), 6.0 / 19.0);
+  EXPECT_EQ(m.batches, 3u);
+  EXPECT_DOUBLE_EQ(m.mean_batch_size, 10.0 / 3.0);
+  EXPECT_EQ(m.snapshot_adoptions, 4u);
+  EXPECT_EQ(m.queue_depth, 17u);
+  EXPECT_EQ(m.queue_capacity, 64u);
+  EXPECT_DOUBLE_EQ(m.saturation(), 17.0 / 64.0);
+  EXPECT_EQ(m.worker_ops, (std::vector<std::uint64_t>{55, 34}));
+  std::array<std::uint64_t, 64> buckets{};
+  buckets[10] = 55;
+  buckets[12] = 34;
+  buckets[17] = 9;
+  buckets[23] = 2;
+  EXPECT_EQ(m.latency_buckets, buckets);
+  EXPECT_EQ(m.latency_sum_ns, 55u * 1000 + 34u * 3000 + 9u * 100000 + 2u * 5000000);
+  // Bucket i reads back as its midpoint 1.5 * 2^(i-1).
+  EXPECT_DOUBLE_EQ(m.latency_p50_ns, 768.0);
+  EXPECT_DOUBLE_EQ(m.latency_p90_ns, 98304.0);
+  EXPECT_DOUBLE_EQ(m.latency_p99_ns, 6291456.0);
+
+  metrics.reset();
+  const EngineMetrics::Snapshot z = metrics.snapshot();
+  EXPECT_EQ(z.submitted, 0u);
+  EXPECT_EQ(z.decided, 0u);
+  EXPECT_EQ(z.cache_hits, 0u);
+  EXPECT_EQ(z.l1_hits, 0u);
+  EXPECT_EQ(z.l2_hits, 0u);
+  EXPECT_EQ(z.cache_misses, 0u);
+  EXPECT_EQ(z.l2_read_retries, 0u);
+  EXPECT_EQ(z.version_evictions, 0u);
+  EXPECT_EQ(z.shed_queue_full, 0u);
+  EXPECT_EQ(z.shed_deadline, 0u);
+  EXPECT_EQ(z.shed_shutdown, 0u);
+  EXPECT_EQ(z.batches, 0u);
+  EXPECT_EQ(z.snapshot_adoptions, 0u);
+  EXPECT_EQ(z.queue_depth, 0u);
+  EXPECT_EQ(z.queue_capacity, 64u);
+  EXPECT_EQ(z.worker_ops, (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_DOUBLE_EQ(z.mean_batch_size, 0.0);
+  EXPECT_EQ(z.latency_buckets, (std::array<std::uint64_t, 64>{}));
+  EXPECT_EQ(z.latency_sum_ns, 0u);
+  EXPECT_DOUBLE_EQ(z.latency_p50_ns, 0.0);
+  EXPECT_DOUBLE_EQ(z.latency_p90_ns, 0.0);
+  EXPECT_DOUBLE_EQ(z.latency_p99_ns, 0.0);
+
+  // Counting resumes after a reset, on workers and caller threads alike.
+  metrics.record_decided(1, 1000);
+  std::thread([&metrics] {
+    metrics.record_caller_submitted();
+    metrics.record_caller_hit(1000, 0);
+  }).join();
+  const EngineMetrics::Snapshot after = metrics.snapshot();
+  EXPECT_EQ(after.submitted, 1u);
+  EXPECT_EQ(after.decided, 2u);
+  EXPECT_EQ(after.l2_hits, 1u);
+  EXPECT_EQ(after.worker_ops, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(after.latency_buckets[10], 2u);
+  EXPECT_DOUBLE_EQ(after.latency_p50_ns, 768.0);
 }
 
 // ---------------------------------------------------------------------
