@@ -1,41 +1,34 @@
-// mdac::obs::Registry — the unified metrics registry (ISSUE 9).
+// mdac::obs — the metrics instruments and the registry that scrapes them.
 //
-// The repo grew five disconnected telemetry surfaces (EngineMetrics,
-// DispatchStats, BreakerStats, CacheStats, the PAP audit log); the
-// paper's monitoring/audit argument (§3.2) needs them in ONE place an
-// operator can scrape. The registry holds named counter / gauge /
-// histogram instruments and renders them in Prometheus text exposition
-// format (`expose()` — stable ordering, escaped label values), so the
-// future wire front-end can serve /metrics without inventing another
-// format.
+// The paper's monitoring/audit argument (§3.2) needs every telemetry
+// surface (EngineMetrics, DispatchStats, breaker state, CacheStats,
+// HeartbeatMonitor, the PAP audit ring, the tracer) in ONE place an
+// operator can scrape. This header holds the two pieces:
 //
-// Two registration shapes:
+//   * instruments — `Counter` and `Histogram`, the one counter and the
+//     one latency histogram of the repo. Both spread their writes over
+//     N cache-line-padded shards so concurrent writers never rendezvous
+//     on one line (EngineMetrics shards by worker index, then by caller
+//     stripe); reads fold the shards. Subsystems own their instruments:
+//     an engine counts whether or not anyone scrapes it.
+//   * the registry — a list of pull-time *collectors*. Each subsystem
+//     exposes a `register_metrics(Registry&)` member that adds a
+//     callback reporting current values into a MetricSink at expose
+//     time, and `expose()` renders the Prometheus text exposition
+//     (stable ordering, escaped label values). The callback captures the
+//     subsystem by reference: either unregister (remove_collector)
+//     before the subsystem dies, or let the registry die first (the
+//     usual shape in tests and tools).
 //
-//   * owned instruments — `counter()/gauge()/histogram()` create an
-//     instrument the registry owns and hot paths update directly.
-//     Counters are optionally *sharded*: N cache-line-padded cells
-//     (exactly the EngineMetrics per-worker-counter idiom) so concurrent
-//     writers never rendezvous on one line; `value()` sums on read.
-//     Labels are pre-interned at registration — the label block is
-//     rendered to its final `{k="v",...}` string once, and the hot path
-//     never touches a string again.
-//   * collectors — subsystems that already keep their own counters
-//     (EngineMetrics, DispatchStats, BreakerStats, CacheStats,
-//     HeartbeatMonitor, the PAP audit ring) register a callback that
-//     reports current values into a MetricSink at expose time. Each
-//     subsystem exposes a `register_metrics(Registry&)` member doing
-//     exactly this. The callback captures the subsystem by reference:
-//     either unregister (remove_collector) before the subsystem dies, or
-//     let the registry die first (the usual shape in tests and tools).
-//
-// Thread-safety: registration and expose() serialise on one mutex;
-// owned-instrument updates are relaxed atomics (safe from any thread,
-// any time). Collector callbacks run under the registry mutex on the
-// expose()-calling thread — they must be safe to invoke from it (the
-// adapted subsystems all read relaxed atomics or single-threaded sim
-// state there).
+// Thread-safety: instrument updates are relaxed atomics (safe from any
+// thread, any time); `reset()` is not, see below. Collector
+// registration and expose() serialise on one mutex. Collector callbacks run under it on
+// the expose()-calling thread — they must be safe to invoke from it
+// (the adapted subsystems all read relaxed atomics or single-threaded
+// sim state there).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -55,14 +48,12 @@ struct Label {
 };
 
 /// Renders `{k="v",...}` with Prometheus escaping (\\, \", \n) — empty
-/// string for no labels. Exposed for tests; Registry pre-renders it at
-/// instrument registration ("pre-interned symbol pairs").
+/// string for no labels. MetricSink renders each sample's labels with it.
 std::string render_label_block(const std::vector<Label>& labels);
 
-/// Monotonic counter over N cache-line-padded shards. Shard by worker
-/// index (like EngineMetrics::WorkerCounters) so the hot path's
-/// fetch_add never contends with a neighbour's line; single-shard
-/// counters are just a padded atomic.
+/// Monotonic counter over N cache-line-padded shards. The caller picks
+/// the shard (a worker index, a thread's stripe); out-of-range shards
+/// fold into shard 0. A single-shard counter is just a padded atomic.
 class Counter {
  public:
   explicit Counter(std::size_t shards = 1)
@@ -70,65 +61,76 @@ class Counter {
         cells_(std::make_unique<Cell[]>(shards_)) {}
 
   void add(std::uint64_t n = 1, std::size_t shard = 0) {
-    cells_[shard < shards_ ? shard : 0].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  void increment(std::size_t shard = 0) { add(1, shard); }
-
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < shards_; ++i) {
-      total += cells_[i].v.load(std::memory_order_relaxed);
-    }
-    return total;
+    cells_[index(shard)].v.fetch_add(n, std::memory_order_relaxed);
   }
 
+  /// Sum over every shard.
+  std::uint64_t value() const;
+  /// One shard's count.
+  std::uint64_t value(std::size_t shard) const {
+    return cells_[index(shard)].v.load(std::memory_order_relaxed);
+  }
   std::size_t shards() const { return shards_; }
+
+  /// Zeroes every shard. Only valid while no thread is adding: an add
+  /// racing the reset may survive it or be lost.
+  void reset();
 
  private:
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> v{0};
   };
+  std::size_t index(std::size_t shard) const { return shard < shards_ ? shard : 0; }
+
   std::size_t shards_;
   std::unique_ptr<Cell[]> cells_;
 };
 
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double v) { value_.fetch_add(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Log2-bucketed histogram (the EngineMetrics latency-histogram shape):
-/// bucket i counts observations in [2^(i-1), 2^i), so 64 buckets cover
-/// the full uint64 range with ~1.5x relative error — enough for latency
-/// percentiles without per-instrument bucket configuration.
+/// Log2-bucketed histogram over N shards, sharded like Counter: bucket i
+/// counts observations in [2^(i-1), 2^i) (0 lands in bucket 0), so 64
+/// buckets cover the full uint64 range with ~1.5x relative error —
+/// enough for latency percentiles without per-instrument bucket
+/// configuration.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
 
-  void observe(std::uint64_t v);
+  explicit Histogram(std::size_t shards = 1)
+      : shards_(shards == 0 ? 1 : shards),
+        cells_(std::make_unique<Cell[]>(shards_)) {}
 
+  void observe(std::uint64_t v, std::size_t shard = 0);
+
+  /// Every shard folded into one set of buckets.
   struct Snapshot {
-    std::uint64_t counts[kBuckets] = {};
-    std::uint64_t total = 0;
-    std::uint64_t sum = 0;
+    std::array<std::uint64_t, kBuckets> counts{};
+    std::uint64_t total = 0;  // sum of counts
+    std::uint64_t sum = 0;    // sum of observed values
     /// Upper bound of bucket `i` as Prometheus `le` (2^i).
     static double upper_bound(std::size_t i);
+    /// Quantile `q` in [0, 1] as the midpoint 1.5 * 2^(i-1) of the
+    /// bucket holding it (0 for bucket 0 and for an empty histogram).
+    double percentile(double q) const;
   };
   Snapshot snapshot() const;
 
+  /// Zeroes every shard; only valid while no thread is observing.
+  void reset();
+
  private:
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> sum_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> buckets[kBuckets] = {};
+    std::atomic<std::uint64_t> sum{0};
+  };
+
+  std::size_t shards_;
+  std::unique_ptr<Cell[]> cells_;
 };
 
 /// What a collector writes into at expose time. All values are reported
-/// fresh on every call; the sink owns ordering and formatting.
+/// fresh on every call; the sink owns ordering and formatting. One name,
+/// one type, as Prometheus demands: reporting a name already reported
+/// with another type throws std::logic_error.
 class MetricSink {
  public:
   void counter(std::string_view name, std::string_view help, double value,
@@ -164,22 +166,15 @@ using Collector = std::function<void(MetricSink&)>;
 
 class Registry {
  public:
-  /// Registers (or returns the existing) instrument under
-  /// (name, labels). Re-registering with a different type throws
-  /// std::logic_error — one name, one type, like Prometheus demands.
-  Counter& counter(std::string name, std::string help,
-                   std::vector<Label> labels = {}, std::size_t shards = 1);
-  Gauge& gauge(std::string name, std::string help, std::vector<Label> labels = {});
-  Histogram& histogram(std::string name, std::string help,
-                       std::vector<Label> labels = {});
-
   /// Adds a pull-time collector; returns an id for remove_collector.
   std::uint64_t add_collector(Collector collector);
   void remove_collector(std::uint64_t id);
 
   /// Appends the full Prometheus text exposition to `out`: families
   /// sorted by name, samples sorted by label block, `# HELP` / `# TYPE`
-  /// once per family, label values escaped. Ends with a newline.
+  /// once per family, label values escaped. Ends with a newline. Throws
+  /// std::logic_error when two collectors report one name with two
+  /// types (see MetricSink).
   void expose(std::string& out) const;
   std::string expose() const {
     std::string out;
@@ -188,21 +183,7 @@ class Registry {
   }
 
  private:
-  struct Instrument {
-    std::string name;
-    std::string help;
-    std::string label_block;
-    char type = 'c';
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-  Instrument& instrument(std::string name, std::string help,
-                         std::vector<Label> labels, char type);
-
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Instrument>> instruments_;
-  std::map<std::string, std::size_t> by_key_;  // name + label block -> index
   std::vector<std::pair<std::uint64_t, Collector>> collectors_;
   std::uint64_t next_collector_id_ = 1;
 };

@@ -1,7 +1,5 @@
 #include "runtime/engine.hpp"
 
-#include <bit>
-#include <cmath>
 #include <string>
 
 #ifdef __linux__
@@ -29,177 +27,61 @@ const char* to_string(CompletionStatus s) {
 // EngineMetrics
 // ---------------------------------------------------------------------
 
-EngineMetrics::EngineMetrics(std::size_t workers, std::size_t queue_capacity)
-    : queue_capacity_(queue_capacity) {
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<WorkerCounters>());
-  }
-}
-
-void EngineMetrics::record_shed(CompletionStatus cause) {
-  switch (cause) {
-    case CompletionStatus::kShedQueueFull:
-      shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case CompletionStatus::kShedDeadline:
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case CompletionStatus::kShutdown:
-      shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case CompletionStatus::kDecided:
-      break;  // not a shed
-  }
-}
-
-void EngineMetrics::record_batch(std::size_t worker, std::size_t batch_size) {
-  WorkerCounters& w = *workers_[worker];
-  w.batches.fetch_add(1, std::memory_order_relaxed);
-  w.batched_requests.fetch_add(batch_size, std::memory_order_relaxed);
-}
-
-void EngineMetrics::record_decided(std::size_t worker, std::uint64_t latency_ns) {
-  workers_[worker]->ops.fetch_add(1, std::memory_order_relaxed);
-  record_decided_latency(latency_ns);
-}
-
-namespace {
-
-/// bit_width maps [2^(i-1), 2^i) to bucket i; 0 -> bucket 0.
-std::size_t latency_bucket(std::uint64_t latency_ns, std::size_t buckets) {
-  return std::min<std::size_t>(std::bit_width(latency_ns), buckets - 1);
-}
-
-}  // namespace
-
-void EngineMetrics::record_decided_latency(std::uint64_t latency_ns) {
-  decided_.fetch_add(1, std::memory_order_relaxed);
-  latency_histogram_[latency_bucket(latency_ns, kLatencyBuckets)].fetch_add(
-      1, std::memory_order_relaxed);
-  latency_sum_ns_.fetch_add(latency_ns, std::memory_order_relaxed);
-}
-
-EngineMetrics::CallerCounters& EngineMetrics::caller_stripe() {
+std::size_t EngineMetrics::caller_stripe() {
   static std::atomic<std::size_t> next_stripe{0};
   thread_local const std::size_t stripe =
       next_stripe.fetch_add(1, std::memory_order_relaxed) % kCallerStripes;
-  return callers_[stripe];
+  return stripe;
 }
 
-void EngineMetrics::record_caller_hit(std::uint64_t latency_ns, std::uint64_t retries) {
-  CallerCounters& c = caller_stripe();
-  c.decided.fetch_add(1, std::memory_order_relaxed);
-  c.l2_hits.fetch_add(1, std::memory_order_relaxed);
-  if (retries != 0) c.l2_retries.fetch_add(retries, std::memory_order_relaxed);
-  c.latency_histogram[latency_bucket(latency_ns, kLatencyBuckets)].fetch_add(
-      1, std::memory_order_relaxed);
-  c.latency_sum_ns.fetch_add(latency_ns, std::memory_order_relaxed);
+void EngineMetrics::record_shed(CompletionStatus cause, std::size_t worker) {
+  switch (cause) {
+    case CompletionStatus::kShedQueueFull: shed_queue_full_.add(1, shard(worker)); break;
+    case CompletionStatus::kShedDeadline: shed_deadline_.add(1, shard(worker)); break;
+    case CompletionStatus::kShutdown: shed_shutdown_.add(1, shard(worker)); break;
+    case CompletionStatus::kDecided: break;  // not a shed
+  }
 }
-
-namespace {
-
-/// Representative latency of log2 bucket `i` (the bucket's midpoint).
-double bucket_value(std::size_t i) {
-  if (i == 0) return 0.0;
-  return 1.5 * std::ldexp(1.0, static_cast<int>(i) - 1);
-}
-
-}  // namespace
 
 void EngineMetrics::reset() {
-  submitted_.store(0, std::memory_order_relaxed);
-  decided_.store(0, std::memory_order_relaxed);
-  version_evictions_.store(0, std::memory_order_relaxed);
-  shed_queue_full_.store(0, std::memory_order_relaxed);
-  shed_deadline_.store(0, std::memory_order_relaxed);
-  shed_shutdown_.store(0, std::memory_order_relaxed);
-  adoptions_.store(0, std::memory_order_relaxed);
+  for (obs::Counter* c : {&submitted_, &decided_, &l1_hits_, &l2_hits_, &cache_misses_,
+                          &l2_retries_, &version_evictions_, &shed_queue_full_,
+                          &shed_deadline_, &shed_shutdown_, &batches_,
+                          &batched_requests_, &adoptions_}) {
+    c->reset();
+  }
+  latency_.reset();
   queue_depth_.store(0, std::memory_order_relaxed);
-  for (const auto& w : workers_) {
-    w->ops.store(0, std::memory_order_relaxed);
-    w->batches.store(0, std::memory_order_relaxed);
-    w->batched_requests.store(0, std::memory_order_relaxed);
-    w->l1_hits.store(0, std::memory_order_relaxed);
-    w->l2_hits.store(0, std::memory_order_relaxed);
-    w->cache_misses.store(0, std::memory_order_relaxed);
-    w->l2_retries.store(0, std::memory_order_relaxed);
-  }
-  for (CallerCounters& c : callers_) {
-    c.submitted.store(0, std::memory_order_relaxed);
-    c.decided.store(0, std::memory_order_relaxed);
-    c.l2_hits.store(0, std::memory_order_relaxed);
-    c.l2_retries.store(0, std::memory_order_relaxed);
-    c.latency_sum_ns.store(0, std::memory_order_relaxed);
-    for (auto& bucket : c.latency_histogram) bucket.store(0, std::memory_order_relaxed);
-  }
-  for (auto& bucket : latency_histogram_) bucket.store(0, std::memory_order_relaxed);
-  latency_sum_ns_.store(0, std::memory_order_relaxed);
 }
 
 EngineMetrics::Snapshot EngineMetrics::snapshot() const {
   Snapshot s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.decided = decided_.load(std::memory_order_relaxed);
-  s.version_evictions = version_evictions_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.shed_shutdown = shed_shutdown_.load(std::memory_order_relaxed);
-  s.snapshot_adoptions = adoptions_.load(std::memory_order_relaxed);
+  s.submitted = submitted_.value();
+  s.decided = decided_.value();
+  s.l1_hits = l1_hits_.value();
+  s.l2_hits = l2_hits_.value();
+  s.cache_hits = s.l1_hits + s.l2_hits;
+  s.cache_misses = cache_misses_.value();
+  s.l2_read_retries = l2_retries_.value();
+  s.version_evictions = version_evictions_.value();
+  s.shed_queue_full = shed_queue_full_.value();
+  s.shed_deadline = shed_deadline_.value();
+  s.shed_shutdown = shed_shutdown_.value();
+  s.batches = batches_.value();
+  s.snapshot_adoptions = adoptions_.value();
   s.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   s.queue_capacity = queue_capacity_;
-
-  std::uint64_t batches = 0;
-  std::uint64_t batched = 0;
-  s.worker_ops.reserve(workers_.size());
-  for (const auto& w : workers_) {
-    s.worker_ops.push_back(w->ops.load(std::memory_order_relaxed));
-    batches += w->batches.load(std::memory_order_relaxed);
-    batched += w->batched_requests.load(std::memory_order_relaxed);
-    s.l1_hits += w->l1_hits.load(std::memory_order_relaxed);
-    s.l2_hits += w->l2_hits.load(std::memory_order_relaxed);
-    s.cache_misses += w->cache_misses.load(std::memory_order_relaxed);
-    s.l2_read_retries += w->l2_retries.load(std::memory_order_relaxed);
-  }
-  for (const CallerCounters& c : callers_) {
-    s.submitted += c.submitted.load(std::memory_order_relaxed);
-    s.decided += c.decided.load(std::memory_order_relaxed);
-    s.l2_hits += c.l2_hits.load(std::memory_order_relaxed);
-    s.l2_read_retries += c.l2_retries.load(std::memory_order_relaxed);
-  }
-  s.cache_hits = s.l1_hits + s.l2_hits;
-  s.batches = batches;
-  s.mean_batch_size =
-      batches > 0 ? static_cast<double>(batched) / static_cast<double>(batches) : 0.0;
-
-  std::array<std::uint64_t, kLatencyBuckets> counts;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
-    counts[i] = latency_histogram_[i].load(std::memory_order_relaxed);
-    for (const CallerCounters& c : callers_) {
-      counts[i] += c.latency_histogram[i].load(std::memory_order_relaxed);
-    }
-    total += counts[i];
-  }
-  s.latency_buckets = counts;
-  s.latency_sum_ns = latency_sum_ns_.load(std::memory_order_relaxed);
-  for (const CallerCounters& c : callers_) {
-    s.latency_sum_ns += c.latency_sum_ns.load(std::memory_order_relaxed);
-  }
-  if (total > 0) {
-    const auto percentile = [&](double q) {
-      const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
-      std::uint64_t seen = 0;
-      for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
-        seen += counts[i];
-        if (seen > target) return bucket_value(i);
-      }
-      return bucket_value(kLatencyBuckets - 1);
-    };
-    s.latency_p50_ns = percentile(0.50);
-    s.latency_p90_ns = percentile(0.90);
-    s.latency_p99_ns = percentile(0.99);
-  }
+  s.worker_ops.reserve(workers_);
+  for (std::size_t i = 0; i < workers_; ++i) s.worker_ops.push_back(decided_.value(i));
+  s.mean_batch_size = s.batches > 0 ? static_cast<double>(batched_requests_.value()) /
+                                          static_cast<double>(s.batches)
+                                    : 0.0;
+  const obs::Histogram::Snapshot latency = latency_.snapshot();
+  s.latency_buckets = latency.counts;
+  s.latency_sum_ns = latency.sum;
+  s.latency_p50_ns = latency.percentile(0.50);
+  s.latency_p90_ns = latency.percentile(0.90);
+  s.latency_p99_ns = latency.percentile(0.99);
   return s;
 }
 
@@ -450,7 +332,7 @@ void DecisionEngine::adopt_snapshot(std::size_t index, Worker& worker) {
   worker.pdp = std::make_unique<core::Pdp>(worker.snapshot->store(), config_.pdp);
   if (config_.resolver != nullptr) worker.pdp->set_resolver(config_.resolver);
   if (config_.functions != nullptr) worker.pdp->set_functions(config_.functions);
-  metrics_.record_adoption();
+  metrics_.record_adoption(index);
   // The L1's entries all carry the replaced version — drop them now
   // (rather than letting version-mismatch lookups age them out) so the
   // memory is reclaimed at the adoption edge.
@@ -460,10 +342,10 @@ void DecisionEngine::adopt_snapshot(std::size_t index, Worker& worker) {
   // serves any more are unreachable and only waste slots.
   adopted_versions_[index].version.store(worker.snapshot->version(),
                                          std::memory_order_release);
-  maybe_sweep_cache();
+  maybe_sweep_cache(index);
 }
 
-void DecisionEngine::maybe_sweep_cache() {
+void DecisionEngine::maybe_sweep_cache(std::size_t index) {
   if (cache_ == nullptr) return;
   std::uint64_t min_adopted = 0;
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -484,7 +366,7 @@ void DecisionEngine::maybe_sweep_cache() {
   }
   if (min_adopted > prev) {
     const std::size_t removed = cache_->evict_older_than(min_adopted);
-    metrics_.record_version_evictions(removed);
+    metrics_.record_version_evictions(removed, index);
   }
 }
 
@@ -497,7 +379,7 @@ void DecisionEngine::complete(Job& job, EngineResult result, std::size_t worker_
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count()));
   } else {
-    metrics_.record_shed(result.status);
+    metrics_.record_shed(result.status, worker_index);
   }
   result.trace_id = job.trace_id;
   publish_trace(job, result, static_cast<std::uint32_t>(worker_index));
@@ -818,15 +700,9 @@ std::uint64_t DecisionEngine::register_metrics(obs::Registry& registry) const {
                    static_cast<double>(s.worker_ops[i]),
                    {{"worker", std::to_string(i)}});
     }
-    obs::Histogram::Snapshot latency;
-    for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
-      latency.counts[i] = s.latency_buckets[i];
-      latency.total += s.latency_buckets[i];
-    }
-    latency.sum = s.latency_sum_ns;
     sink.histogram("mdac_engine_latency_ns",
                    "Completion latency (enqueue to callback), log2 ns buckets.",
-                   latency);
+                   metrics_.latency().snapshot());
   });
 }
 

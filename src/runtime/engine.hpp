@@ -28,7 +28,8 @@
 //   * EngineMetrics: queue depth, sheds by cause, per-worker ops, batch
 //     sizes and completion-latency percentiles — the saturation signals
 //     a dependability::HeartbeatMonitor-style health check or the bench
-//     harness reads to observe overload (shed_rate / saturation).
+//     harness reads to observe overload (shed_rate / saturation). The
+//     counts live in sharded obs::Counter / obs::Histogram instruments.
 //
 // An optional cache::DecisionCache is shared across all workers: hits
 // complete without touching a Pdp, misses are filled with definitive
@@ -88,6 +89,7 @@
 #include "cache/decision_cache.hpp"
 #include "common/clock.hpp"
 #include "core/pdp.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/snapshot.hpp"
 
@@ -142,9 +144,14 @@ struct EngineResult {
   bool decided() const { return status == CompletionStatus::kDecided; }
 };
 
-/// Aggregated engine counters, all updated with relaxed atomics on the
-/// hot path and read as a consistent-enough snapshot by health checks
-/// and the bench harness.
+/// Aggregated engine counters, kept in obs::Counter / obs::Histogram
+/// instruments (relaxed atomics) and read as a consistent-enough
+/// snapshot by health checks, the bench harness and the registry
+/// collector. Every instrument has `workers + 8` shards under one rule:
+/// a call naming a worker writes that worker's shard, any other call
+/// writes the calling thread's caller stripe (shard `workers + stripe`,
+/// fixed per thread), so neither workers nor decide() callers on
+/// different cores share a counter line.
 class EngineMetrics {
  public:
   struct Snapshot {
@@ -172,9 +179,8 @@ class EngineMetrics {
     double latency_p50_ns = 0;
     double latency_p90_ns = 0;
     double latency_p99_ns = 0;
-    /// Raw log2 latency buckets + sum — what the obs::Registry collector
-    /// re-exports as a native Prometheus histogram.
-    std::array<std::uint64_t, 64> latency_buckets{};
+    /// The latency histogram's log2 buckets and sum, folded over shards.
+    std::array<std::uint64_t, obs::Histogram::kBuckets> latency_buckets{};
     std::uint64_t latency_sum_ns = 0;
 
     std::uint64_t sheds() const {
@@ -194,51 +200,67 @@ class EngineMetrics {
     }
   };
 
-  EngineMetrics(std::size_t workers, std::size_t queue_capacity);
+  EngineMetrics(std::size_t workers, std::size_t queue_capacity)
+      : workers_(workers), queue_capacity_(queue_capacity) {}
 
-  void record_submitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
-  void record_shed(CompletionStatus cause);
-  /// Cache-path counters live in the padded per-worker blocks: the hit
-  /// path must not rendezvous all workers on one shared counter line.
-  void record_l1_hit(std::size_t worker) {
-    workers_[worker]->l1_hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// The `worker` argument below defaults to the calling thread's
+  /// caller stripe; the engine passes the worker index from a worker.
+  static constexpr std::size_t kCallerThread = static_cast<std::size_t>(-1);
+
+  void record_submitted() { submitted_.add(1, shard(kCallerThread)); }
+  void record_shed(CompletionStatus cause, std::size_t worker = kCallerThread);
+  void record_l1_hit(std::size_t worker) { l1_hits_.add(1, shard(worker)); }
   void record_l2_hit(std::size_t worker, std::uint64_t retries) {
-    WorkerCounters& w = *workers_[worker];
-    w.l2_hits.fetch_add(1, std::memory_order_relaxed);
-    if (retries != 0) w.l2_retries.fetch_add(retries, std::memory_order_relaxed);
+    const std::size_t s = shard(worker);
+    l2_hits_.add(1, s);
+    if (retries != 0) l2_retries_.add(retries, s);
   }
   void record_cache_miss(std::size_t worker, std::uint64_t retries) {
-    WorkerCounters& w = *workers_[worker];
-    w.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (retries != 0) w.l2_retries.fetch_add(retries, std::memory_order_relaxed);
+    const std::size_t s = shard(worker);
+    cache_misses_.add(1, s);
+    if (retries != 0) l2_retries_.add(retries, s);
   }
-  void record_version_evictions(std::uint64_t count) {
-    version_evictions_.fetch_add(count, std::memory_order_relaxed);
+  void record_version_evictions(std::uint64_t count,
+                                std::size_t worker = kCallerThread) {
+    version_evictions_.add(count, shard(worker));
   }
-  void record_batch(std::size_t worker, std::size_t batch_size);
-  void record_decided(std::size_t worker, std::uint64_t latency_ns);
-  /// decide()'s counters live in the calling thread's caller stripe (see
-  /// CallerCounters), never in a worker's block.
-  void record_caller_submitted() {
-    caller_stripe().submitted.fetch_add(1, std::memory_order_relaxed);
+  void record_batch(std::size_t worker, std::size_t batch_size) {
+    const std::size_t s = shard(worker);
+    batches_.add(1, s);
+    batched_requests_.add(batch_size, s);
   }
+  void record_decided(std::size_t worker, std::uint64_t latency_ns) {
+    const std::size_t s = shard(worker);
+    decided_.add(1, s);
+    latency_.observe(latency_ns, s);
+  }
+  /// decide()'s counters, written to the calling thread's caller stripe.
+  void record_caller_submitted() { record_submitted(); }
   /// A decide() served by the caller-side L2 probe: one decision, one L2
   /// hit and a latency sample.
-  void record_caller_hit(std::uint64_t latency_ns, std::uint64_t retries);
+  void record_caller_hit(std::uint64_t latency_ns, std::uint64_t retries) {
+    const std::size_t s = shard(kCallerThread);
+    decided_.add(1, s);
+    l2_hits_.add(1, s);
+    if (retries != 0) l2_retries_.add(retries, s);
+    latency_.observe(latency_ns, s);
+  }
   /// Seqlock re-reads of a caller-side probe that missed (the miss
   /// itself is counted by the worker that then probes and evaluates).
   void record_caller_retries(std::uint64_t retries) {
-    if (retries != 0) {
-      caller_stripe().l2_retries.fetch_add(retries, std::memory_order_relaxed);
-    }
+    if (retries != 0) l2_retries_.add(retries, shard(kCallerThread));
   }
-  void record_adoption() { adoptions_.fetch_add(1, std::memory_order_relaxed); }
+  void record_adoption(std::size_t worker = kCallerThread) {
+    adoptions_.add(1, shard(worker));
+  }
   void set_queue_depth(std::size_t depth) {
     queue_depth_.store(depth, std::memory_order_relaxed);
   }
 
   Snapshot snapshot() const;
+  /// The completion-latency histogram (what the registry collector
+  /// renders as mdac_engine_latency_ns).
+  const obs::Histogram& latency() const { return latency_; }
 
   /// Zeroes every counter and the latency histogram (queue capacity is
   /// configuration and stays). Benchmark support: call only while the
@@ -248,54 +270,27 @@ class EngineMetrics {
   void reset();
 
  private:
-  static constexpr std::size_t kLatencyBuckets = 64;
   static constexpr std::size_t kCallerStripes = 8;
 
-  void record_decided_latency(std::uint64_t latency_ns);
+  /// The shard rule above: a worker's index, else workers + the calling
+  /// thread's stripe.
+  std::size_t shard(std::size_t worker) const {
+    return worker < workers_ ? worker : workers_ + caller_stripe();
+  }
+  static std::size_t caller_stripe();
 
-  /// Padded per-worker counters so workers don't false-share a line.
-  /// The cache counters live here too: in two-level mode the cache's
-  /// read path is lock-free precisely so workers share nothing — a
-  /// shared hit counter would put the contended line right back.
-  struct alignas(64) WorkerCounters {
-    std::atomic<std::uint64_t> ops{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> batched_requests{0};
-    std::atomic<std::uint64_t> l1_hits{0};
-    std::atomic<std::uint64_t> l2_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> l2_retries{0};
-  };
-
+  std::size_t workers_;
   std::size_t queue_capacity_;
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> decided_{0};
-  std::atomic<std::uint64_t> version_evictions_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> shed_shutdown_{0};
-  std::atomic<std::uint64_t> adoptions_{0};
+  std::size_t shards_ = workers_ + kCallerStripes;
+  // Worker shards of decided_ are the per-worker op counts.
+  obs::Counter submitted_{shards_}, decided_{shards_}, l1_hits_{shards_},
+      l2_hits_{shards_}, cache_misses_{shards_}, l2_retries_{shards_},
+      version_evictions_{shards_}, shed_queue_full_{shards_}, shed_deadline_{shards_},
+      shed_shutdown_{shards_}, batches_{shards_}, batched_requests_{shards_},
+      adoptions_{shards_};
+  /// Completion latency (enqueue → callback), log2 ns buckets.
+  obs::Histogram latency_{shards_};
   std::atomic<std::size_t> queue_depth_{0};
-  std::vector<std::unique_ptr<WorkerCounters>> workers_;
-
-  /// decide()'s caller-side counters, in padded blocks of their own (no
-  /// `worker` label in the scrape). A thread keeps one stripe for life,
-  /// so cache hits on different cores write no shared line; snapshot()
-  /// folds the stripes into the engine-wide totals and histogram.
-  struct alignas(64) CallerCounters {
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> decided{0};
-    std::atomic<std::uint64_t> l2_hits{0};
-    std::atomic<std::uint64_t> l2_retries{0};
-    std::atomic<std::uint64_t> latency_sum_ns{0};
-    std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_histogram{};
-  };
-  CallerCounters& caller_stripe();
-  std::array<CallerCounters, kCallerStripes> callers_;
-
-  /// Completion latency, log2 ns buckets (bucket i covers [2^(i-1), 2^i)).
-  std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_histogram_{};
-  std::atomic<std::uint64_t> latency_sum_ns_{0};
 };
 
 struct EngineConfig {
@@ -500,7 +495,7 @@ class DecisionEngine {
   /// Sweeps shared-cache entries older than the minimum snapshot version
   /// any worker has adopted (lagging workers pin the watermark — their
   /// entries must survive until they move on).
-  void maybe_sweep_cache();
+  void maybe_sweep_cache(std::size_t index);
   void process_batch(std::size_t index, Worker& worker);
   void complete(Job& job, EngineResult result, std::size_t worker_index,
                 bool count_as_decided);

@@ -1,8 +1,9 @@
 // mdac::obs — unified metrics registry and decision tracer.
 //
-//   * Registry unit behaviour: owned instruments (idempotent
-//     registration, type-mismatch refusal, sharded counters),
-//     collectors, label escaping, stable exposition ordering.
+//   * Instruments: sharded Counter and Histogram (shard folding,
+//     bucket-midpoint percentiles, reset).
+//   * Registry: collectors, one-name-one-type refusal, label escaping,
+//     histogram rendering, stable exposition ordering.
 //   * DecisionTracer: head-sampling cadence, explain ring wrap and
 //     eviction accounting, queries, rendering.
 //   * Golden-file exposition: one registry covering EVERY adapted
@@ -13,6 +14,7 @@
 //       MDAC_UPDATE_GOLDEN=1 ./obs_test --gtest_filter='*Golden*'
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -36,54 +38,120 @@ namespace mdac::obs {
 namespace {
 
 // ---------------------------------------------------------------------
-// Registry: owned instruments
+// Instruments: sharded Counter and Histogram
 // ---------------------------------------------------------------------
 
-TEST(RegistryTest, CounterGaugeHistogramRoundTrip) {
-  Registry registry;
-  Counter& c = registry.counter("mdac_test_ops_total", "Ops.");
-  c.add(3);
-  c.increment();
-  EXPECT_EQ(c.value(), 4u);
+TEST(CounterTest, ShardsFoldIntoOneValueAndReadSingly) {
+  Counter c(/*shards=*/4);
+  EXPECT_EQ(c.shards(), 4u);
+  for (std::size_t shard = 0; shard < 4; ++shard) c.add(10 * (shard + 1), shard);
+  c.add(5, /*shard=*/99);  // out-of-range shards fold into shard 0
+  c.add();                 // default: one, into shard 0
+  EXPECT_EQ(c.value(), 106u);
+  EXPECT_EQ(c.value(0), 16u);
+  EXPECT_EQ(c.value(3), 40u);
+  EXPECT_EQ(c.value(99), 16u);
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+  for (std::size_t shard = 0; shard < 4; ++shard) EXPECT_EQ(c.value(shard), 0u);
+  c.add(2, 1);
+  EXPECT_EQ(c.value(), 2u);
+  EXPECT_EQ(Counter(0).shards(), 1u);
+}
 
-  Gauge& g = registry.gauge("mdac_test_depth", "Depth.");
-  g.set(7.5);
-  EXPECT_DOUBLE_EQ(g.value(), 7.5);
-  g.add(-2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-
-  Histogram& h = registry.histogram("mdac_test_latency", "Latency.");
-  h.observe(1);
-  h.observe(1000);
+TEST(HistogramTest, ShardedObservationsFoldIntoOneSnapshot) {
+  Histogram h(/*shards=*/3);
+  h.observe(0, 0);     // bucket 0
+  h.observe(1, 1);     // bucket 1: [1, 2)
+  h.observe(1000, 2);  // bucket 10: [512, 1024)
+  h.observe(1023, 0);
+  h.observe(1024, 7);  // bucket 11; out-of-range shard folds into shard 0
   const Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.total, 2u);
-  EXPECT_EQ(s.sum, 1001u);
+  EXPECT_EQ(s.total, 5u);
+  EXPECT_EQ(s.sum, 0u + 1 + 1000 + 1023 + 1024);
+  std::array<std::uint64_t, Histogram::kBuckets> expected{};
+  expected[0] = 1;
+  expected[1] = 1;
+  expected[10] = 2;
+  expected[11] = 1;
+  EXPECT_EQ(s.counts, expected);
+  // Everything past 2^62 shares the last bucket.
+  Histogram top;
+  top.observe(~std::uint64_t{0});
+  EXPECT_EQ(top.snapshot().counts[Histogram::kBuckets - 1], 1u);
 }
 
-TEST(RegistryTest, ShardedCounterSumsAcrossCells) {
-  Registry registry;
-  Counter& c =
-      registry.counter("mdac_test_sharded_total", "Sharded.", {}, /*shards=*/4);
-  for (std::size_t shard = 0; shard < 4; ++shard) c.add(10, shard);
-  c.add(5, /*shard=*/99);  // out-of-range shards fold into cell 0
-  EXPECT_EQ(c.value(), 45u);
+TEST(HistogramTest, PercentileReadsTheBucketMidpoint) {
+  Histogram h(/*shards=*/2);
+  for (int i = 0; i < 55; ++i) h.observe(1000, 0);      // bucket 10 -> 768
+  for (int i = 0; i < 34; ++i) h.observe(3000, 1);      // bucket 12 -> 3072
+  for (int i = 0; i < 9; ++i) h.observe(100000, 0);     // bucket 17 -> 98304
+  for (int i = 0; i < 2; ++i) h.observe(5000000, 1);    // bucket 23 -> 6291456
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.percentile(0.0), 768.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.50), 768.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.60), 3072.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.90), 98304.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.99), 6291456.0);
+  EXPECT_DOUBLE_EQ(s.percentile(1.0), 6291456.0);
+  // An empty histogram, and bucket 0, read as zero.
+  EXPECT_DOUBLE_EQ(Histogram().snapshot().percentile(0.5), 0.0);
+  Histogram zeros;
+  zeros.observe(0);
+  EXPECT_DOUBLE_EQ(zeros.snapshot().percentile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(Histogram::Snapshot::upper_bound(10), 1024.0);
 }
 
-TEST(RegistryTest, RegistrationIsIdempotentByNameAndLabels) {
-  Registry registry;
-  Counter& a = registry.counter("mdac_test_total", "Help.", {{"k", "v"}});
-  Counter& b = registry.counter("mdac_test_total", "Help.", {{"k", "v"}});
-  EXPECT_EQ(&a, &b);
-  // A different label set is a different instrument.
-  Counter& c = registry.counter("mdac_test_total", "Help.", {{"k", "w"}});
-  EXPECT_NE(&a, &c);
+TEST(HistogramTest, ResetZeroesEveryShard) {
+  Histogram h(/*shards=*/4);
+  for (std::size_t shard = 0; shard < 4; ++shard) h.observe(100 * (shard + 1), shard);
+  h.reset();
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.total, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  EXPECT_EQ(s.counts, (std::array<std::uint64_t, Histogram::kBuckets>{}));
+  h.observe(5, 3);
+  EXPECT_EQ(h.snapshot().total, 1u);
+  EXPECT_EQ(h.snapshot().sum, 5u);
 }
+
+// ---------------------------------------------------------------------
+// Registry: collectors and exposition
+// ---------------------------------------------------------------------
 
 TEST(RegistryTest, TypeMismatchOnOneNameThrows) {
   Registry registry;
-  registry.counter("mdac_test_value", "Help.");
-  EXPECT_THROW(registry.gauge("mdac_test_value", "Help."), std::logic_error);
-  EXPECT_THROW(registry.histogram("mdac_test_value", "Help."), std::logic_error);
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_test_value", "Help.", 1);
+  });
+  const std::uint64_t gauge = registry.add_collector([](MetricSink& sink) {
+    sink.gauge("mdac_test_value", "Help.", 2);
+  });
+  EXPECT_THROW(registry.expose(), std::logic_error);
+  registry.remove_collector(gauge);
+  registry.add_collector([](MetricSink& sink) {
+    sink.histogram("mdac_test_value", "Help.", Histogram().snapshot());
+  });
+  EXPECT_THROW(registry.expose(), std::logic_error);
+}
+
+TEST(RegistryTest, HistogramRendersSparseCumulativeBuckets) {
+  Histogram h;
+  h.observe(1);
+  h.observe(1000);
+  h.observe(1000);
+  Registry registry;
+  registry.add_collector([&h](MetricSink& sink) {
+    sink.histogram("mdac_test_latency", "Latency.", h.snapshot(), {{"k", "v"}});
+  });
+  EXPECT_EQ(registry.expose(),
+            "# HELP mdac_test_latency Latency.\n"
+            "# TYPE mdac_test_latency histogram\n"
+            "mdac_test_latency_bucket{k=\"v\",le=\"2\"} 1\n"
+            "mdac_test_latency_bucket{k=\"v\",le=\"1024\"} 3\n"
+            "mdac_test_latency_bucket{k=\"v\",le=\"+Inf\"} 3\n"
+            "mdac_test_latency_sum{k=\"v\"} 2001\n"
+            "mdac_test_latency_count{k=\"v\"} 3\n");
 }
 
 TEST(RegistryTest, LabelValuesAreEscaped) {
@@ -94,11 +162,15 @@ TEST(RegistryTest, LabelValuesAreEscaped) {
 
 TEST(RegistryTest, ExpositionOrderingIsStable) {
   Registry registry;
-  // Registered out of order on purpose: exposition sorts families by
-  // name and samples by label block.
-  registry.counter("mdac_zz_total", "Last.").add(1);
-  registry.counter("mdac_aa_total", "First.", {{"x", "2"}}).add(2);
-  registry.counter("mdac_aa_total", "First.", {{"x", "1"}}).add(1);
+  // Reported out of order, by two collectors, on purpose: exposition
+  // sorts families by name and samples by label block.
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_zz_total", "Last.", 1);
+    sink.counter("mdac_aa_total", "First.", 2, {{"x", "2"}});
+  });
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_aa_total", "First.", 1, {{"x", "1"}});
+  });
   const std::string page = registry.expose();
   const std::size_t aa = page.find("mdac_aa_total{x=\"1\"} 1");
   const std::size_t aa2 = page.find("mdac_aa_total{x=\"2\"} 2");
@@ -248,9 +320,10 @@ TEST(GoldenExpositionTest, FullRegistryMatchesGoldenFile) {
   obs::Registry registry;
 
   // Escaping demo pinned in the golden output.
-  registry.counter("mdac_example_escapes_total", "Label escaping demo.",
-                   {{"path", "a\\b\"c\nd"}})
-      .add(1);
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_example_escapes_total", "Label escaping demo.", 1,
+                 {{"path", "a\\b\"c\nd"}});
+  });
 
   // PAP with a wrapping audit ring: 2 policies x (submit + issue) = 4
   // entries through a capacity-2 ring -> 2 drops.

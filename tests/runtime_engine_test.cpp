@@ -813,6 +813,19 @@ TEST(EngineMetricsTest, RecordsFoldIntoAnExactSnapshotAndResetZeroesIt) {
   EXPECT_DOUBLE_EQ(m.latency_p90_ns, 98304.0);
   EXPECT_DOUBLE_EQ(m.latency_p99_ns, 6291456.0);
 
+  // Eight more caller threads take eight consecutive stripes, so every
+  // stripe holds counts when reset() runs.
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 8; ++i) {
+    callers.emplace_back([&metrics] {
+      metrics.record_caller_submitted();
+      metrics.record_caller_hit(1000, 1);
+      metrics.record_caller_retries(1);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(metrics.snapshot().decided, 108u);
+
   metrics.reset();
   const EngineMetrics::Snapshot z = metrics.snapshot();
   EXPECT_EQ(z.submitted, 0u);
